@@ -1,0 +1,43 @@
+//! Order statistics over small samples.
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`) by linear interpolation between
+/// closest ranks; 0 for an empty sample.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// The median; 0 for an empty sample.
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+/// A deterministic 64-bit mix (SplitMix64's finalizer), used to derive
+/// per-repetition scenario seeds from the run's `--seed`.
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&v), 2.5);
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 1.0), 4.0);
+        assert_eq!(median(&[]), 0.0);
+    }
+}
