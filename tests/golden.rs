@@ -21,7 +21,7 @@
 use ethmeter::prelude::*;
 
 mod common;
-use common::GOLDENS;
+use common::{stats_pin, CONTRACT, GOLDENS};
 
 fn scenario(preset: Preset, seed: u64, mins: u64) -> Scenario {
     Scenario::builder()
@@ -87,4 +87,53 @@ fn fingerprint_is_reproducible_and_seed_sensitive() {
         .campaign
         .fingerprint();
     assert_ne!(a, c, "different seeds must diverge");
+}
+
+/// The widened contract: every row's fingerprint *and* run counters are
+/// pinned, sequentially and at 2/4/8 shards, and the sharded event count
+/// equals the sequential one. The rows past the goldens reach the
+/// known-set eviction regime, the √-fanout relay, and a partition script.
+#[test]
+fn contract_rows_match_their_pins() {
+    let bless = std::env::var_os("ETHMETER_BLESS").is_some();
+    let mut failures = Vec::new();
+    for row in &CONTRACT {
+        let sequential = run_campaign(&(row.scenario)(1));
+        let (fp, stats) = (
+            sequential.campaign.fingerprint(),
+            stats_pin(&sequential.stats),
+        );
+        if bless {
+            println!("{}: fingerprint {fp:#018x}, stats {stats:?}", row.label);
+            continue;
+        }
+        if (fp, stats) != (row.fingerprint, row.stats) {
+            failures.push(format!(
+                "{}: ({fp:#018x}, {stats:?}), pinned ({:#018x}, {:?})",
+                row.label, row.fingerprint, row.stats
+            ));
+        }
+        for shards in [2, 4, 8] {
+            let sharded = run_campaign(&(row.scenario)(shards));
+            if sharded.campaign.fingerprint() != fp
+                || sharded.stats != sequential.stats
+                || sharded.events != sequential.events
+            {
+                failures.push(format!(
+                    "{} at {shards} shards: ({:#018x}, {:?}, {}), sequential ({fp:#018x}, {:?}, {})",
+                    row.label,
+                    sharded.campaign.fingerprint(),
+                    sharded.stats,
+                    sharded.events,
+                    sequential.stats,
+                    sequential.events
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "contract rows diverged:\n  {}",
+        failures.join("\n  ")
+    );
 }
