@@ -343,10 +343,8 @@ fn worker(
             // the registry, so the blocks must already be interned.
             engine.world_mut().ingest_replica_blocks(&mut blocks);
             remotes.sort_by_key(RemoteEvent::sort_key);
-            for remote in remotes {
-                let event = engine.world().resolve_remote(remote.kind);
-                engine.schedule(remote.at, event);
-            }
+            let (world, mut sched) = engine.world_and_scheduler();
+            world.ingest_remotes(remotes, &mut sched);
         });
         let next = match (&engine, dead) {
             (Some(e), false) => e.next_event_time().map_or(u64::MAX, |t| t.as_nanos()),

@@ -144,7 +144,10 @@ pub enum Event {
 /// Counters accumulated during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Messages delivered.
+    /// `Deliver` events processed. Redundant transaction deliveries
+    /// resolved at send time are not processed and count in
+    /// [`RunStats::tx_elided`] instead, so `messages + tx_elided` is the
+    /// number of messages that reached their receiver within the run.
     pub messages: u64,
     /// Bytes moved (wire sizes).
     pub bytes: u64,
@@ -161,6 +164,11 @@ pub struct RunStats {
     /// Blocks published through fork-choice-time release events (matches,
     /// overrides, tie releases, abandoned-branch uncle bait, race wins).
     pub blocks_released: u64,
+    /// Singleton transaction deliveries arriving within the run that were
+    /// provably redundant at send time and so were never simulated (see
+    /// `DETERMINISM.md`, "Elided transaction deliveries"). Their bytes
+    /// still count in [`RunStats::bytes`].
+    pub tx_elided: u64,
 }
 
 impl RunStats {
@@ -174,6 +182,7 @@ impl RunStats {
         self.imports += other.imports;
         self.blocks_withheld += other.blocks_withheld;
         self.blocks_released += other.blocks_released;
+        self.tx_elided += other.tx_elided;
     }
 }
 
@@ -266,6 +275,70 @@ impl Default for DynamicsState {
     }
 }
 
+/// A transaction delivery resolved at send time instead of simulated: at
+/// its arrival it would have found the transaction already seen and the
+/// sender already marked as knowing it, and changed nothing.
+#[derive(Debug, Clone, Copy)]
+struct ElidedTx {
+    /// Arrival instant.
+    at: SimTime,
+    /// The queue position reserved for it, so a resurrected delivery pops
+    /// exactly where it would have.
+    seq: u64,
+    from: NodeId,
+    to: NodeId,
+    id: TxId,
+}
+
+/// Bookkeeping for elided transaction deliveries (see `DETERMINISM.md`,
+/// "Elided transaction deliveries").
+///
+/// An elided delivery stays a no-op only while no known-tx set can evict
+/// (the registry holds fewer than `known_txs_cap` transactions) and the
+/// link it travels is not changed. Deliveries still in flight when either
+/// condition breaks are resurrected as real `Deliver` events.
+#[derive(Debug, Default)]
+struct Elision {
+    /// Elided deliveries that may still be pending, pruned by time.
+    in_flight: Vec<ElidedTx>,
+    /// `in_flight` length at which the next prune runs.
+    prune_at: usize,
+    /// First receipts `(time, node, tx)` in processing (so time) order:
+    /// the current instant's on a sequential world, the current window's
+    /// on a shard (whose barrier decides cross-shard deliveries sent
+    /// anywhere in the window).
+    receipts: Vec<(SimTime, NodeId, TxIdx)>,
+    /// Links changed by dynamics `(time, a, b)` in the current window (on
+    /// a shard; a sequential world only needs them while handling the
+    /// change).
+    link_changes: Vec<(SimTime, NodeId, NodeId)>,
+}
+
+impl Elision {
+    fn reset(&mut self) {
+        self.in_flight.clear();
+        self.prune_at = 0;
+        self.receipts.clear();
+        self.link_changes.clear();
+    }
+
+    /// True if `node` first received `tx` at or after `since`.
+    fn received_since(&self, since: SimTime, node: NodeId, tx: TxIdx) -> bool {
+        self.receipts
+            .iter()
+            .rev()
+            .take_while(|&&(t, ..)| t >= since)
+            .any(|&(_, n, x)| n == node && x == tx)
+    }
+
+    /// True if the `a`-`b` link changed at or after `since`.
+    fn link_changed_since(&self, since: SimTime, a: NodeId, b: NodeId) -> bool {
+        self.link_changes
+            .iter()
+            .any(|&(t, x, y)| t >= since && ((x, y) == (a, b) || (x, y) == (b, a)))
+    }
+}
+
 /// The campaign world (see module docs).
 pub struct SimWorld {
     // Configuration (copied out of the scenario).
@@ -334,6 +407,8 @@ pub struct SimWorld {
     dyn_script: Vec<(SimTime, DynamicsEvent)>,
     /// Runtime dynamics state (see [`DynamicsState`]).
     dynamics: DynamicsState,
+    /// Elided transaction deliveries (see [`Elision`]).
+    elision: Elision,
 
     // Recycled per-event buffers (cleared before use; never observable).
     /// Outgoing-message buffer shared by every handler invocation.
@@ -432,6 +507,7 @@ impl SimWorld {
             rng_dynamics: Xoshiro256::seed_from_u64(0),
             dyn_script: Vec::new(),
             dynamics: DynamicsState::default(),
+            elision: Elision::default(),
             send_scratch: Vec::new(),
             pack_buf: Vec::new(),
             ancestor_scratch: FxHashSet::default(),
@@ -679,6 +755,7 @@ impl SimWorld {
         self.dyn_script
             .extend_from_slice(scenario.dynamics.entries());
         self.dynamics.reset();
+        self.elision.reset();
         self.stats = RunStats::default();
     }
 
@@ -870,19 +947,36 @@ impl SimWorld {
             }
             let delay = self.net.proc_overhead + link + xfer;
             self.stats.bytes += size.as_bytes();
+            let now = sched.now();
             if let Some(ctx) = self.shard.as_mut() {
                 if !ctx.map.owns(ctx.me as usize, send.to) {
+                    // The receiving shard decides elision at the barrier.
                     ctx.outbox.push(RemoteEvent {
-                        at: sched.now() + delay,
+                        at: now + delay,
                         origin: from,
                         seq: ctx.emit_seq,
                         kind: RemoteEventKind::Deliver {
                             from,
                             to: send.to,
                             msg: send.msg,
+                            sent: now,
                         },
                     });
                     ctx.emit_seq += 1;
+                    continue;
+                }
+            }
+            if let Message::Tx(id) = send.msg {
+                if self.elidable(now, from, send.to, id) {
+                    let seq = sched.reserve_seq();
+                    let e = ElidedTx {
+                        at: now + delay,
+                        seq,
+                        from,
+                        to: send.to,
+                        id,
+                    };
+                    self.elide(e, now);
                     continue;
                 }
             }
@@ -895,6 +989,94 @@ impl SimWorld {
                 },
             );
         }
+    }
+
+    /// The campaign horizon: events after it are never processed.
+    fn horizon(&self) -> SimTime {
+        SimTime::ZERO + self.duration
+    }
+
+    /// True once the registry holds `known_txs_cap` transactions: from
+    /// then on a known-tx set can evict, so a delivery that is redundant
+    /// at send time may not be at arrival, and nothing is elided.
+    fn eviction_possible(&self) -> bool {
+        self.txs.len() >= self.net.known_txs_cap
+    }
+
+    /// True if a `Tx(id)` delivery `from → to` sent at `sent` would
+    /// change nothing on arrival, so it can be resolved now: the receiver
+    /// is not a vantage (vantages record every reception), no known-tx set
+    /// can evict, the receiver first received the transaction strictly
+    /// before `sent`, and its row for the sender marks it. Reading only
+    /// state settled before `sent` makes the decision the same at every
+    /// shard count.
+    fn elidable(&self, sent: SimTime, from: NodeId, to: NodeId, id: TxId) -> bool {
+        if self.observer_slot[to.index()].is_some() || self.eviction_possible() {
+            return false;
+        }
+        let Some(ix) = self.txs.idx_of(id) else {
+            return false;
+        };
+        self.nodes[to.index()].knows_tx_from(from, ix) && !self.elision.received_since(sent, to, ix)
+    }
+
+    /// Records an elided delivery whose queue position is already
+    /// reserved. It counts in `tx_elided` if it arrives within the run.
+    fn elide(&mut self, e: ElidedTx, now: SimTime) {
+        if e.at <= self.horizon() {
+            self.stats.tx_elided += 1;
+        }
+        let el = &mut self.elision;
+        if el.in_flight.len() >= el.prune_at {
+            el.in_flight.retain(|x| x.at >= now);
+            el.prune_at = (2 * el.in_flight.len()).max(64);
+        }
+        el.in_flight.push(e);
+    }
+
+    /// Turns every still-pending elided delivery matching `hit` back into
+    /// a real `Deliver` event at its reserved queue position.
+    fn resurrect(&mut self, sched: &mut Scheduler<Event>, hit: impl Fn(&ElidedTx) -> bool) {
+        let horizon = self.horizon();
+        let stats = &mut self.stats;
+        self.elision.in_flight.retain(|e| {
+            if !hit(e) {
+                return true;
+            }
+            if sched.is_pending(e.at, e.seq) {
+                let msg = Message::Tx(e.id);
+                let (from, to) = (e.from, e.to);
+                sched.at_reserved(e.at, e.seq, Event::Deliver { from, to, msg });
+                if e.at <= horizon {
+                    stats.tx_elided -= 1;
+                }
+            }
+            false
+        });
+    }
+
+    /// Interns a transaction. The registry reaching `known_txs_cap`
+    /// makes eviction possible, which ends elision for the campaign:
+    /// every elided delivery still in flight is resurrected.
+    fn intern_tx(&mut self, tx: Transaction, sched: &mut Scheduler<Event>) -> TxIdx {
+        let idx = self.txs.insert(tx);
+        if self.txs.len() == self.net.known_txs_cap {
+            self.resurrect(sched, |_| true);
+        }
+        idx
+    }
+
+    /// Logs `node`'s first receipt of `tx` for the strictly-before rule
+    /// of [`SimWorld::elidable`].
+    fn note_receipt(&mut self, now: SimTime, node: NodeId, tx: TxIdx) {
+        if self.eviction_possible() {
+            return;
+        }
+        let log = &mut self.elision.receipts;
+        if self.shard.is_none() && log.last().is_some_and(|&(t, ..)| t < now) {
+            log.clear();
+        }
+        log.push((now, node, tx));
     }
 
     /// Packs a block template for `pool` on top of `parent`, filtering
@@ -1310,35 +1492,44 @@ impl SimWorld {
             Message::Tx(id) => {
                 // The dominant gossip message: resolve the one transaction
                 // on the stack.
-                {
-                    let txs = &self.txs;
-                    let node = &mut self.nodes[to.index()];
-                    if let Some(ix) = txs.idx_of(id) {
-                        node.on_transactions(
-                            Some(from),
-                            &[(ix, txs.by_idx(ix))],
-                            &self.net,
-                            &mut self.lanes_node[to.index()],
-                            &mut sends,
-                        );
+                if let Some(ix) = self.txs.idx_of(id) {
+                    let fresh = self.nodes[to.index()].on_transactions(
+                        Some(from),
+                        &[(ix, self.txs.by_idx(ix))],
+                        &self.net,
+                        &mut self.lanes_node[to.index()],
+                        &mut sends,
+                    );
+                    if fresh > 0 {
+                        self.note_receipt(now, to, ix);
                     }
                 }
                 self.dispatch_sends(to, &mut sends, sched);
             }
             Message::Transactions(ids) => {
-                {
+                let fresh: Vec<TxIdx> = {
                     let txs = &self.txs;
+                    let node = &mut self.nodes[to.index()];
                     let resolved: Vec<(TxIdx, &Transaction)> = ids
                         .iter()
                         .filter_map(|&id| txs.idx_of(id).map(|ix| (ix, txs.by_idx(ix))))
                         .collect();
-                    self.nodes[to.index()].on_transactions(
+                    let fresh = resolved
+                        .iter()
+                        .map(|&(ix, _)| ix)
+                        .filter(|&ix| !node.has_seen_tx(ix))
+                        .collect();
+                    node.on_transactions(
                         Some(from),
                         &resolved,
                         &self.net,
                         &mut self.lanes_node[to.index()],
                         &mut sends,
                     );
+                    fresh
+                };
+                for ix in fresh {
+                    self.note_receipt(now, to, ix);
                 }
                 self.dispatch_sends(to, &mut sends, sched);
             }
@@ -1412,16 +1603,19 @@ impl SimWorld {
             // Every shard interns every transaction (so any shard can
             // resolve any `TxId`), but only the origin's owner counts it
             // and performs the injection.
-            let idx = self.txs.insert(Transaction {
-                id,
-                sender: planned.sender,
-                nonce: planned.nonce,
-                gas_price: planned.gas_price,
-                gas: planned.gas,
-                size: planned.size,
-                submitted_at: submit_at,
-                origin,
-            });
+            let idx = self.intern_tx(
+                Transaction {
+                    id,
+                    sender: planned.sender,
+                    nonce: planned.nonce,
+                    gas_price: planned.gas_price,
+                    gas: planned.gas,
+                    size: planned.size,
+                    submitted_at: submit_at,
+                    origin,
+                },
+                sched,
+            );
             if self.owns_node(origin) {
                 self.stats.txs_submitted += 1;
                 sched.at(submit_at, Event::InjectTx { idx });
@@ -1432,15 +1626,15 @@ impl SimWorld {
     fn on_inject_tx(&mut self, idx: TxIdx, sched: &mut Scheduler<Event>) {
         let origin = self.txs.by_idx(idx).origin;
         let mut sends = std::mem::take(&mut self.send_scratch);
-        {
-            let tx = self.txs.by_idx(idx);
-            self.nodes[origin.index()].on_transactions(
-                None,
-                &[(idx, tx)],
-                &self.net,
-                &mut self.lanes_node[origin.index()],
-                &mut sends,
-            );
+        let fresh = self.nodes[origin.index()].on_transactions(
+            None,
+            &[(idx, self.txs.by_idx(idx))],
+            &self.net,
+            &mut self.lanes_node[origin.index()],
+            &mut sends,
+        );
+        if fresh > 0 {
+            self.note_receipt(sched.now(), origin, idx);
         }
         self.dispatch_sends(origin, &mut sends, sched);
         self.send_scratch = sends;
@@ -1456,35 +1650,37 @@ impl SimWorld {
     fn on_dynamics(&mut self, entry: u32, sched: &mut Scheduler<Event>) {
         self.dynamics.fired += 1;
         let (_, ev) = self.dyn_script[entry as usize];
+        let now = sched.now();
+        let logged = self.elision.link_changes.len();
         match ev {
-            DynamicsEvent::NodeDown(n) => self.node_down(n),
-            DynamicsEvent::NodeUp(n) => self.node_up(n),
+            DynamicsEvent::NodeDown(n) => self.node_down(n, now),
+            DynamicsEvent::NodeUp(n) => self.node_up(n, now),
             DynamicsEvent::LinkDown(a, b) => {
                 // Only a live link can fail; severing a parked or absent
                 // link is a no-op (the script may race node churn).
                 if self.nodes[a.index()].is_peer(b) {
-                    self.sever(a, b);
+                    self.sever(a, b, now);
                     self.dynamics.severed.push((a, b));
                 }
             }
             DynamicsEvent::LinkUp(a, b) => {
                 self.unsever(a, b);
-                self.reconnect_or_defer(a, b);
+                self.reconnect_or_defer(a, b, now);
             }
-            DynamicsEvent::Partition { a, b } => self.partition(a, b),
-            DynamicsEvent::Heal { a, b } => self.heal_regions(a, b),
+            DynamicsEvent::Partition { a, b } => self.partition(a, b, now),
+            DynamicsEvent::Heal { a, b } => self.heal_regions(a, b, now),
             DynamicsEvent::LatencyScale(f) => self.dynamics.latency_scale = f,
             DynamicsEvent::BandwidthScale(f) => self.dynamics.bandwidth_scale = f,
             DynamicsEvent::EclipsePool(p) => {
                 let gws = self.pool_states[p.index()].gateways.clone();
                 for g in gws {
-                    self.node_down(g);
+                    self.node_down(g, now);
                 }
             }
             DynamicsEvent::ReleasePool(p) => {
                 let gws = self.pool_states[p.index()].gateways.clone();
                 for g in gws {
-                    self.node_up(g);
+                    self.node_up(g, now);
                 }
             }
             DynamicsEvent::FloodStart { rate_per_sec } => {
@@ -1498,6 +1694,30 @@ impl SimWorld {
                 }
             }
             DynamicsEvent::FloodStop => self.dynamics.flood_rate = None,
+        }
+        if self.elision.link_changes.len() > logged {
+            self.resurrect_changed_links(logged, sched);
+        }
+    }
+
+    /// Resurrects the elided deliveries in flight on the links this
+    /// dynamics event changed (`link_changes[logged..]`): a re-dialed
+    /// link starts with empty known-tx rows, so an arrival there is no
+    /// longer a no-op. A severed link is included too, which keeps the
+    /// rule simple for the barrier-time decision on shards (see
+    /// [`SimWorld::ingest_remotes`]). A sequential world then drops the
+    /// log; a shard keeps it until the window's barrier.
+    fn resurrect_changed_links(&mut self, logged: usize, sched: &mut Scheduler<Event>) {
+        let changes = std::mem::take(&mut self.elision.link_changes);
+        let changed = &changes[logged..];
+        self.resurrect(sched, |e| {
+            changed
+                .iter()
+                .any(|&(_, a, b)| (a, b) == (e.from, e.to) || (a, b) == (e.to, e.from))
+        });
+        self.elision.link_changes = changes;
+        if self.shard.is_none() {
+            self.elision.link_changes.clear();
         }
     }
 
@@ -1519,16 +1739,19 @@ impl SimWorld {
         let sender = AccountId(u32::MAX - self.dynamics.spam_seq);
         self.dynamics.spam_seq = self.dynamics.spam_seq.wrapping_add(1);
         let id = TxId(self.txs.len() as u64 + 1);
-        let idx = self.txs.insert(Transaction {
-            id,
-            sender,
-            nonce: 0,
-            gas_price: 1,
-            gas: ethmeter_chain::tx::SIMPLE_TX_GAS,
-            size: ByteSize::from_bytes(180),
-            submitted_at: now,
-            origin,
-        });
+        let idx = self.intern_tx(
+            Transaction {
+                id,
+                sender,
+                nonce: 0,
+                gas_price: 1,
+                gas: ethmeter_chain::tx::SIMPLE_TX_GAS,
+                size: ByteSize::from_bytes(180),
+                submitted_at: now,
+                origin,
+            },
+            sched,
+        );
         if self.owns_node(origin) {
             self.stats.txs_submitted += 1;
             self.on_inject_tx(idx, sched);
@@ -1552,10 +1775,11 @@ impl SimWorld {
     }
 
     /// Tears down the `a`↔`b` link on both endpoints.
-    fn sever(&mut self, a: NodeId, b: NodeId) {
+    fn sever(&mut self, a: NodeId, b: NodeId, now: SimTime) {
         let da = self.nodes[a.index()].disconnect(b);
         let db = self.nodes[b.index()].disconnect(a);
         debug_assert_eq!(da, db, "asymmetric link {a}<->{b}");
+        self.elision.link_changes.push((now, a, b));
     }
 
     /// Re-establishes the `a`↔`b` link on both endpoints. Idempotent: a
@@ -1563,9 +1787,10 @@ impl SimWorld {
     /// expected answer when scripts overlap), and a malformed runtime
     /// join surfaces as a structured [`ethmeter_net::LinkError`] instead
     /// of a panic inside a shard worker.
-    fn redial(&mut self, a: NodeId, b: NodeId) {
+    fn redial(&mut self, a: NodeId, b: NodeId, now: SimTime) {
         let _ = self.nodes[a.index()].try_add_link(b, &self.net);
         let _ = self.nodes[b.index()].try_add_link(a, &self.net);
+        self.elision.link_changes.push((now, a, b));
     }
 
     /// Drops the `(a, b)` pair (either orientation) from the severed
@@ -1584,7 +1809,7 @@ impl SimWorld {
     /// Heals the `a`↔`b` link now, or — when an endpoint is itself down —
     /// parks the link on that endpoint's churn record so it comes back
     /// with the node's rejoin.
-    fn reconnect_or_defer(&mut self, a: NodeId, b: NodeId) {
+    fn reconnect_or_defer(&mut self, a: NodeId, b: NodeId, now: SimTime) {
         let park_on = if self.is_down(a) {
             Some((a, b))
         } else if self.is_down(b) {
@@ -1604,19 +1829,19 @@ impl SimWorld {
                     rec.1.push(other);
                 }
             }
-            None => self.redial(a, b),
+            None => self.redial(a, b, now),
         }
     }
 
     /// Takes `n` offline: every live link is torn down and parked on the
     /// node's churn record. Idempotent while already down.
-    fn node_down(&mut self, n: NodeId) {
+    fn node_down(&mut self, n: NodeId, now: SimTime) {
         if self.is_down(n) {
             return;
         }
         let peers: Vec<NodeId> = self.nodes[n.index()].peers().to_vec();
         for &p in &peers {
-            self.sever(n, p);
+            self.sever(n, p, now);
         }
         self.dynamics.down.push((n, peers));
     }
@@ -1626,20 +1851,20 @@ impl SimWorld {
     /// rejoin deliberately restores recorded links even across an active
     /// partition (rejoining nodes re-dial their old peer set; the
     /// deterministic, documented semantics).
-    fn node_up(&mut self, n: NodeId) {
+    fn node_up(&mut self, n: NodeId, now: SimTime) {
         let Some(pos) = self.dynamics.down.iter().position(|&(d, _)| d == n) else {
             return;
         };
         let (_, links) = self.dynamics.down.remove(pos);
         for p in links {
-            self.reconnect_or_defer(n, p);
+            self.reconnect_or_defer(n, p, now);
         }
     }
 
     /// Severs every live link between a node in region set `a` and a node
     /// in region set `b`, recording each for a later heal. Sweeps nodes
     /// in id order and handles each unordered pair once.
-    fn partition(&mut self, a: RegionMask, b: RegionMask) {
+    fn partition(&mut self, a: RegionMask, b: RegionMask, now: SimTime) {
         for i in 0..self.nodes.len() {
             let ri = self.node_meta[i].0;
             let (in_a, in_b) = (a.contains(ri), b.contains(ri));
@@ -1654,7 +1879,7 @@ impl SimWorld {
                 let rp = self.node_meta[p.index()].0;
                 if (in_a && b.contains(rp)) || (in_b && a.contains(rp)) {
                     let n = NodeId(i as u32);
-                    self.sever(n, p);
+                    self.sever(n, p, now);
                     self.dynamics.severed.push((n, p));
                 }
             }
@@ -1663,7 +1888,7 @@ impl SimWorld {
 
     /// Heals every severed link whose endpoints straddle region sets `a`
     /// and `b`, in severance order.
-    fn heal_regions(&mut self, a: RegionMask, b: RegionMask) {
+    fn heal_regions(&mut self, a: RegionMask, b: RegionMask, now: SimTime) {
         let mut to_heal = Vec::new();
         let mut i = 0;
         while i < self.dynamics.severed.len() {
@@ -1678,7 +1903,7 @@ impl SimWorld {
             }
         }
         for (x, y) in to_heal {
-            self.reconnect_or_defer(x, y);
+            self.reconnect_or_defer(x, y, now);
         }
     }
 
@@ -1766,23 +1991,64 @@ impl SimWorld {
         }
     }
 
-    /// Resolves a cross-shard event against the local registries.
+    /// Schedules the window's cross-shard events (already in barrier
+    /// order) against the local registries, then starts the next
+    /// window's receipt and link-change logs.
+    ///
+    /// A singleton transaction delivery is elided here, on the receiving
+    /// shard, by the rule a sequential run applies at send time. This
+    /// shard has run the whole window, so its state may be later than
+    /// the send. The window logs make up for that: first receipts are
+    /// checked against the send time, and a link changed after the send
+    /// keeps the delivery real. A sequential run resurrects such a
+    /// delivery at the change, so both agree.
     ///
     /// # Panics
     ///
     /// Panics if an injected block's replica was not ingested first —
     /// a violation of the window-barrier protocol.
-    pub(crate) fn resolve_remote(&self, kind: RemoteEventKind) -> Event {
-        match kind {
-            RemoteEventKind::Deliver { from, to, msg } => Event::Deliver { from, to, msg },
-            RemoteEventKind::Inject { node, block } => Event::InjectBlock {
-                node,
-                idx: self
-                    .blocks
-                    .idx_of(block)
-                    .expect("replica blocks are ingested before remote events"),
-            },
+    pub(crate) fn ingest_remotes(
+        &mut self,
+        remotes: impl IntoIterator<Item = RemoteEvent>,
+        sched: &mut Scheduler<Event>,
+    ) {
+        for remote in remotes {
+            let at = remote.at;
+            let event = match remote.kind {
+                RemoteEventKind::Deliver {
+                    from,
+                    to,
+                    msg: Message::Tx(id),
+                    sent,
+                } if self.elidable(sent, from, to, id)
+                    && !self.elision.link_changed_since(sent, from, to) =>
+                {
+                    let seq = sched.reserve_seq();
+                    self.elide(
+                        ElidedTx {
+                            at,
+                            seq,
+                            from,
+                            to,
+                            id,
+                        },
+                        sched.now(),
+                    );
+                    continue;
+                }
+                RemoteEventKind::Deliver { from, to, msg, .. } => Event::Deliver { from, to, msg },
+                RemoteEventKind::Inject { node, block } => Event::InjectBlock {
+                    node,
+                    idx: self
+                        .blocks
+                        .idx_of(block)
+                        .expect("replica blocks are ingested before remote events"),
+                },
+            };
+            sched.at(at, event);
         }
+        self.elision.receipts.clear();
+        self.elision.link_changes.clear();
     }
 
     /// Moves out the locally minted blocks, in creation order (replicas

@@ -304,8 +304,10 @@ impl<B> SelfishState<B> {
             return (SelfishOutcome::Overrode, rest);
         }
         // Comfortable lead: reveal just enough to contest every public
-        // height, keep the rest private.
-        let need = (number - self.base.1) as usize;
+        // height, keep the rest private. A fork choice that weighs more
+        // than height (uncle-GHOST) can adopt a head below the private
+        // base: there is no public height to contest then.
+        let need = number.saturating_sub(self.base.1) as usize;
         if need > self.released {
             let out = self.drain_unreleased(need);
             return (SelfishOutcome::Matched, out);
@@ -409,6 +411,22 @@ mod tests {
         // Folded onto our own tip.
         assert_eq!(m.target(), (h(2), 3));
         assert_eq!(m.branch_len(), 0);
+    }
+
+    #[test]
+    fn public_head_below_the_base_releases_nothing() {
+        let mut m = machine();
+        // Base moves to height 10, then a comfortable private lead.
+        m.on_public_head(h(50), 10, false);
+        for i in 1..=4u64 {
+            m.on_solve(h(i), i);
+        }
+        // A heavier public subtree whose head sits below the base.
+        let (out, rel) = m.on_public_head(h(60), 9, false);
+        assert_eq!(out, SelfishOutcome::Idle);
+        assert!(rel.is_empty());
+        assert_eq!(m.released_len(), 0);
+        assert_eq!(m.target(), (h(4), 15));
     }
 
     #[test]

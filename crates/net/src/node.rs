@@ -280,21 +280,6 @@ impl Node {
         Ok(())
     }
 
-    /// Assert-based [`Node::try_add_link`], kept for drivers built before
-    /// the checked path existed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-links or duplicate links.
-    #[deprecated(note = "use `try_add_link`, which reports malformed links as a `LinkError`")]
-    pub fn connect(&mut self, peer: NodeId, cfg: &NetConfig) {
-        match self.try_add_link(peer, cfg) {
-            Ok(()) => {}
-            Err(LinkError::SelfLink) => panic!("self-link"),
-            Err(LinkError::Duplicate) => panic!("duplicate link to {peer}"),
-        }
-    }
-
     /// True if `peer` is currently linked.
     #[inline]
     pub fn is_peer(&self, peer: NodeId) -> bool {
@@ -326,6 +311,26 @@ impl Node {
         self.peer_known_blocks.swap(pos, last);
         self.peer_known_txs.remove_peer(pos);
         true
+    }
+
+    /// True if a `Tx(idx)` arriving from `peer` now would change
+    /// nothing: this node has already seen the transaction and its
+    /// known-tx row for `peer` already marks it (both inserts of
+    /// [`Node::on_transactions`] would be no-ops). False when `peer` is
+    /// not linked. Read-only; the driver uses it to resolve redundant
+    /// deliveries at send time.
+    #[inline]
+    pub fn knows_tx_from(&self, peer: NodeId, idx: TxIdx) -> bool {
+        self.has_seen_tx(idx)
+            && self
+                .pos_of(peer)
+                .is_some_and(|p| self.peer_known_txs.contains(p, idx.raw()))
+    }
+
+    /// True if this node has seen transaction `idx`.
+    #[inline]
+    pub fn has_seen_tx(&self, idx: TxIdx) -> bool {
+        self.seen_txs.contains(0, idx.raw())
     }
 
     /// Degree of this node.
@@ -593,7 +598,8 @@ impl Node {
     /// transaction with its interned slot.
     ///
     /// Appends the relays to `out`. Fresh transactions are added to the
-    /// mempool if one is enabled.
+    /// mempool if one is enabled. Returns how many of `txs` were fresh
+    /// (first received by this node).
     pub fn on_transactions(
         &mut self,
         from: Option<NodeId>,
@@ -601,7 +607,7 @@ impl Node {
         cfg: &NetConfig,
         rng: &mut Xoshiro256,
         out: &mut Vec<Send>,
-    ) {
+    ) -> usize {
         let from_pos = from.and_then(|p| self.pos_of(p));
         // The fresh list lives in a node-owned buffer; take/restore keeps
         // the allocation across calls while the mempool borrow is live.
@@ -618,9 +624,10 @@ impl Node {
                 }
             }
         }
-        if fresh.is_empty() {
+        let n_fresh = fresh.len();
+        if n_fresh == 0 {
             self.scratch_fresh = fresh;
-            return;
+            return 0;
         }
         // Choose relay targets (into the scratch buffer, so the common
         // all-peers case allocates nothing).
@@ -661,7 +668,7 @@ impl Node {
                 }
             }
             self.scratch_fresh = fresh;
-            return;
+            return n_fresh;
         }
         for ti in 0..self.scratch.len() {
             let (pos, peer) = self.scratch[ti];
@@ -686,6 +693,7 @@ impl Node {
             }
         }
         self.scratch_fresh = fresh;
+        n_fresh
     }
 
     /// Builds a mining template from this gateway's view: parent (current

@@ -126,6 +126,11 @@ pub enum RemoteEventKind {
         to: NodeId,
         /// The wire message, hash/`TxId`-addressed and thus portable.
         msg: Message,
+        /// When the sender emitted it. The ingesting shard decides from
+        /// it whether a redundant transaction delivery can be resolved
+        /// without simulating it (see `DETERMINISM.md`, "Elided
+        /// transaction deliveries").
+        sent: SimTime,
     },
     /// A pool's sealed block reaching one of its non-primary gateways
     /// that lives on another shard. The block travels by hash; the

@@ -32,19 +32,59 @@ pub trait World {
 #[derive(Debug)]
 pub struct Scheduler<'q, E> {
     now: SimTime,
+    /// Insertion sequence number of the event being handled (`u64::MAX`
+    /// outside a handler: every pending event orders before "now").
+    seq: u64,
     queue: &'q mut EventQueue<E>,
 }
 
 impl<'q, E> Scheduler<'q, E> {
     /// Wraps the engine's queue for one handler invocation.
-    fn new(now: SimTime, queue: &'q mut EventQueue<E>) -> Self {
-        Scheduler { now, queue }
+    fn new(now: SimTime, seq: u64, queue: &'q mut EventQueue<E>) -> Self {
+        Scheduler { now, seq, queue }
     }
 
     /// The current simulated instant.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// True if a queue position `(at, seq)` comes after the event being
+    /// handled — i.e. an event there would still be pending.
+    #[inline]
+    pub fn is_pending(&self, at: SimTime, seq: u64) -> bool {
+        (at, seq) > (self.now, self.seq)
+    }
+
+    /// Consumes the next insertion sequence number without scheduling an
+    /// event (see [`EventQueue::reserve_seq`]). Events scheduled later
+    /// order after the reserved position, exactly as if an event had been
+    /// scheduled here.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedules `event` at `at` under a sequence number from
+    /// [`Scheduler::reserve_seq`], so it pops where an event scheduled at
+    /// reservation time would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(at, seq)` is not after the event being handled (see
+    /// [`Scheduler::is_pending`]).
+    pub fn at_reserved(&mut self, at: SimTime, seq: u64, event: E)
+    where
+        E: std::fmt::Debug,
+    {
+        assert!(
+            self.is_pending(at, seq),
+            "cannot schedule {event:?} at ({at}, #{seq}), already past ({now}, #{cur})",
+            now = self.now,
+            cur = self.seq
+        );
+        self.queue.push_reserved(at, seq, event);
     }
 
     /// Schedules `event` after `delay` from now.
@@ -147,6 +187,16 @@ impl<W: World> Engine<W> {
         self.queue.peek_time()
     }
 
+    /// The world together with a scheduler at the current instant, for
+    /// injecting events between runs (e.g. at a parallel window barrier)
+    /// through the same interface handlers use.
+    pub fn world_and_scheduler(&mut self) -> (&mut W, Scheduler<'_, W::Event>) {
+        (
+            &mut self.world,
+            Scheduler::new(self.now, u64::MAX, &mut self.queue),
+        )
+    }
+
     /// Shared access to the world.
     pub fn world(&self) -> &W {
         &self.world
@@ -196,10 +246,10 @@ impl<W: World> Engine<W> {
                     return RunOutcome::DeadlineReached;
                 }
                 Some(_) => {
-                    let (t, ev) = self.queue.pop().expect("peeked non-empty");
+                    let (t, seq, ev) = self.queue.pop_with_seq().expect("peeked non-empty");
                     debug_assert!(t >= self.now, "event queue went backwards");
                     self.now = t;
-                    let mut sched = Scheduler::new(t, &mut self.queue);
+                    let mut sched = Scheduler::new(t, seq, &mut self.queue);
                     self.world.handle(t, ev, &mut sched);
                     self.processed += 1;
                     remaining -= 1;

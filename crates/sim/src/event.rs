@@ -130,9 +130,36 @@ impl<E> EventQueue<E> {
     /// processes more than 2⁴⁰ events over its lifetime (both far beyond
     /// any realistic campaign; [`EventQueue::clear`] resets the latter).
     pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, event);
+    }
+
+    /// Consumes the next insertion sequence number without scheduling
+    /// anything. Every later push orders after it, exactly as if an event
+    /// had been pushed here; [`EventQueue::push_reserved`] can schedule an
+    /// event under it afterwards, at the queue position it reserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequence space is exhausted (see
+    /// [`EventQueue::push`]).
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         assert!(seq < MAX_SEQ, "event sequence space exhausted");
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `time` under a sequence number previously
+    /// returned by [`EventQueue::reserve_seq`]: it pops in the `(time,
+    /// seq)` position it would have had if pushed at reservation time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than 2²⁴ events are pending at once; debug builds
+    /// also reject a `seq` that was never reserved.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.next_seq, "sequence {seq} was never reserved");
         let slot = match self.free.pop() {
             Some(s) => {
                 self.events[s as usize] = Some(event);
@@ -228,6 +255,12 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_with_seq().map(|(t, _, e)| (t, e))
+    }
+
+    /// [`EventQueue::pop`], also returning the event's insertion sequence
+    /// number.
+    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
         if !self.settle() {
             return None;
         }
@@ -251,7 +284,7 @@ impl<E> EventQueue<E> {
             .expect("ring keys reference live slots");
         self.free.push(slot);
         self.min_time = self.min_after_pop();
-        Some((key_time(key), event))
+        Some((key_time(key), (key as u64) >> SLOT_BITS, event))
     }
 
     /// The minimum pending key's timestamp, located **without advancing

@@ -132,3 +132,27 @@ fn selfish_threshold_crosses_and_decreases_with_gamma() {
         "gamma must materially lower the threshold: {thresholds:?}"
     );
 }
+
+/// Uncle-GHOST can adopt a public head *below* the selfish pool's
+/// private base (a heavier subtree at a lower height). The machine must
+/// treat that as "nothing to match" instead of underflowing the height
+/// difference — this campaign used to panic mid-run.
+#[test]
+fn uncle_ghost_head_below_the_private_base_does_not_panic() {
+    let mut scenario = Scenario::builder()
+        .preset(Preset::Small)
+        .seed(2)
+        .duration(SimDuration::from_mins(30))
+        .pools(PoolDirectory::attacker_vs_honest(
+            0.3,
+            3,
+            SelfishConfig::classic(),
+        ))
+        .consensus(ConsensusKind::UncleGhost)
+        .interblock(SimDuration::from_secs(3))
+        .build();
+    scenario.set_tx_rate(0.05);
+    let outcome = run_campaign(&scenario);
+    assert!(outcome.stats.blocks_withheld > 0, "{:?}", outcome.stats);
+    assert!(outcome.campaign.truth.tree.head_number() > 0);
+}
