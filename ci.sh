@@ -36,13 +36,17 @@
 #                `repro forkchoice --json` on a pinned tiny scenario —
 #                schema-valid ethmeter-forkchoice/v1 with distinct
 #                heads across engines
+#   ethbench-smoke  the benchmark of record (BENCHMARK.json): the ethbench
+#                package's own tests in --release, then one short traced
+#                pass over every workload, which must report
+#                `correct: true` with no failed campaign
 #
 # Each stage is timed; a summary table is printed at the end (and on
 # failure, which names the failed stage instead of dumping trace noise).
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(build test golden par-smoke lint detlint bench-smoke dynamics-smoke repro-smoke consensus-smoke)
+STAGES=(build test golden par-smoke lint detlint bench-smoke dynamics-smoke repro-smoke consensus-smoke ethbench-smoke)
 
 stage_build() {
     cargo build --release
@@ -306,6 +310,26 @@ stage_consensus_smoke() {
          rm -f "$fc_json"
          return 1; }
     rm -f "$fc_json"
+}
+
+stage_ethbench_smoke() {
+    # ethbench is a package of its own (own workspace and lockfile), so
+    # the workspace stages above never build or test it. The traced run
+    # checks every campaign against the correctness gate and the traced
+    # contract against the untraced one; `correct` and `failed` sum that
+    # up. The JSON object is the last line of stdout.
+    cargo test --release --manifest-path ethbench/Cargo.toml
+    local report
+    report="$(mktemp)"
+    cargo run --release --quiet --manifest-path ethbench/Cargo.toml -- \
+        --workload all --seed 1 --seconds 2 --trace 1 2> /dev/null \
+        | tail -n 1 > "$report"
+    jq -e '.correct == true and .failed == 0' "$report" > /dev/null \
+    || { echo "ethbench smoke run failed:" >&2
+         cat "$report" >&2
+         rm -f "$report"
+         return 1; }
+    rm -f "$report"
 }
 
 # --- driver -----------------------------------------------------------------

@@ -15,7 +15,8 @@ pub struct CampaignOutcome {
     pub campaign: CampaignData,
     /// Engine/world counters.
     pub stats: RunStats,
-    /// Total events processed.
+    /// Total events processed. Transaction deliveries elided at send
+    /// time are not events (they count in [`RunStats::tx_elided`]).
     pub events: u64,
 }
 

@@ -312,14 +312,42 @@ struct Elision {
     /// a shard; a sequential world only needs them while handling the
     /// change).
     link_changes: Vec<(SimTime, NodeId, NodeId)>,
+    /// Per registered transaction, one bit per node, set at the node's
+    /// first receipt: a world-level copy of the nodes' seen sets. Sends
+    /// concern recent transactions, so these rows stay cache-hot and the
+    /// common "not seen yet" answer probes none of the receiver's state.
+    /// Kept only while elision is possible.
+    seen: Vec<u64>,
+    /// `u64` words per `seen` row.
+    words: usize,
 }
 
 impl Elision {
-    fn reset(&mut self) {
+    fn reset(&mut self, nodes: usize) {
         self.in_flight.clear();
         self.prune_at = 0;
         self.receipts.clear();
         self.link_changes.clear();
+        self.seen.clear();
+        self.words = nodes.div_ceil(64);
+    }
+
+    /// Sets `node`'s bit in `tx`'s `seen` row.
+    fn mark_seen(&mut self, node: NodeId, tx: TxIdx) {
+        let at = tx.index() * self.words + node.index() / 64;
+        if self.seen.len() <= at {
+            self.seen.resize((tx.index() + 1) * self.words, 0);
+        }
+        self.seen[at] |= 1 << (node.index() % 64);
+    }
+
+    /// True if `node` has received `tx` (per the `seen` rows).
+    #[inline]
+    fn has_seen(&self, node: NodeId, tx: TxIdx) -> bool {
+        let at = tx.index() * self.words + node.index() / 64;
+        self.seen
+            .get(at)
+            .is_some_and(|w| w & (1 << (node.index() % 64)) != 0)
     }
 
     /// True if `node` first received `tx` at or after `since`.
@@ -755,7 +783,7 @@ impl SimWorld {
         self.dyn_script
             .extend_from_slice(scenario.dynamics.entries());
         self.dynamics.reset();
-        self.elision.reset();
+        self.elision.reset(self.nodes.len());
         self.stats = RunStats::default();
     }
 
@@ -1017,7 +1045,9 @@ impl SimWorld {
         let Some(ix) = self.txs.idx_of(id) else {
             return false;
         };
-        self.nodes[to.index()].knows_tx_from(from, ix) && !self.elision.received_since(sent, to, ix)
+        self.elision.has_seen(to, ix)
+            && self.nodes[to.index()].knows_tx_from(from, ix)
+            && !self.elision.received_since(sent, to, ix)
     }
 
     /// Records an elided delivery whose queue position is already
@@ -1062,6 +1092,7 @@ impl SimWorld {
         let idx = self.txs.insert(tx);
         if self.txs.len() == self.net.known_txs_cap {
             self.resurrect(sched, |_| true);
+            self.elision.seen.clear();
         }
         idx
     }
@@ -1072,6 +1103,7 @@ impl SimWorld {
         if self.eviction_possible() {
             return;
         }
+        self.elision.mark_seen(node, tx);
         let log = &mut self.elision.receipts;
         if self.shard.is_none() && log.last().is_some_and(|&(t, ..)| t < now) {
             log.clear();

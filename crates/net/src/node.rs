@@ -1008,6 +1008,45 @@ mod tests {
     }
 
     #[test]
+    fn knows_tx_from_needs_the_tx_seen_and_the_sender_marked() {
+        let mut n = node(99, 6);
+        let c = cfg();
+        let t1 = tx(1, 0);
+        let ix = TxIdx(0);
+        assert!(!n.knows_tx_from(NodeId(1), ix), "unseen");
+        // First receipt from peer 1: relayed to (and so marked for) every
+        // other peer; peer 1 is marked as the source.
+        let fresh = n.on_transactions(
+            Some(NodeId(1)),
+            &[(ix, &t1)],
+            &c,
+            &mut rng(),
+            &mut Vec::new(),
+        );
+        assert_eq!(fresh, 1);
+        assert!((0..6).all(|p| n.knows_tx_from(NodeId(p), ix)));
+        assert!(!n.knows_tx_from(NodeId(77), ix), "non-peers know nothing");
+        // A redundant arrival is reported as not fresh and changes none
+        // of the answers.
+        let again = n.on_transactions(
+            Some(NodeId(2)),
+            &[(ix, &t1)],
+            &c,
+            &mut rng(),
+            &mut Vec::new(),
+        );
+        assert_eq!(again, 0);
+        assert!(n.knows_tx_from(NodeId(2), ix));
+        // √-fanout relay leaves unpicked peers unmarked.
+        let mut sq = node(98, 25);
+        let mut cs = cfg();
+        cs.tx_relay = TxRelayPolicy::Sqrt;
+        sq.on_transactions(None, &[(ix, &t1)], &cs, &mut rng(), &mut Vec::new());
+        let marked = (0..25).filter(|&p| sq.knows_tx_from(NodeId(p), ix)).count();
+        assert_eq!(marked, 5);
+    }
+
+    #[test]
     fn sqrt_tx_relay_caps_fanout() {
         let mut n = node(99, 25);
         let mut c = cfg();

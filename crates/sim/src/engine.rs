@@ -412,6 +412,81 @@ mod tests {
     }
 
     #[test]
+    fn reserved_sequence_numbers_keep_their_queue_position() {
+        // Event 0 reserves a position, then schedules 20 at t=5; event 1
+        // later fills the reservation at t=5, which must still pop before
+        // 20 (its sequence number is older).
+        struct Reserve {
+            reserved: Option<u64>,
+            order: Vec<u32>,
+        }
+        impl World for Reserve {
+            type Event = u32;
+            fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+                self.order.push(ev);
+                let t5 = SimTime::from_secs(5);
+                match ev {
+                    0 => {
+                        self.reserved = Some(sched.reserve_seq());
+                        sched.at(t5, 20);
+                    }
+                    1 => {
+                        let seq = self.reserved.expect("reserved by event 0");
+                        assert!(sched.is_pending(t5, seq));
+                        assert!(!sched.is_pending(now, 0), "older positions are past");
+                        sched.at_reserved(t5, seq, 10);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut eng = Engine::new(Reserve {
+            reserved: None,
+            order: vec![],
+        });
+        eng.schedule(SimTime::from_secs(1), 0);
+        eng.schedule(SimTime::from_secs(2), 1);
+        eng.run_until(SimTime::from_secs(10));
+        assert_eq!(eng.world().order, vec![0, 1, 10, 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already past")]
+    fn reserved_positions_cannot_be_filled_in_the_past() {
+        struct Late;
+        impl World for Late {
+            type Event = u8;
+            fn handle(&mut self, now: SimTime, _ev: u8, sched: &mut Scheduler<u8>) {
+                sched.at_reserved(now, 0, 1);
+            }
+        }
+        let mut eng = Engine::new(Late);
+        eng.schedule(SimTime::from_secs(1), 0);
+        eng.run_until(SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn world_and_scheduler_injects_like_schedule() {
+        let mut eng = Engine::new(Recorder {
+            seen: vec![],
+            respawn: false,
+        });
+        eng.schedule(SimTime::from_secs(1), 1);
+        eng.run_until(SimTime::from_secs(1));
+        {
+            let (world, mut sched) = eng.world_and_scheduler();
+            assert_eq!(world.seen.len(), 1);
+            assert_eq!(sched.now(), SimTime::from_secs(1));
+            let skipped = sched.reserve_seq();
+            sched.at(SimTime::from_secs(3), 3);
+            sched.at_reserved(SimTime::from_secs(3), skipped, 2);
+        }
+        eng.run_until(SimTime::from_secs(5));
+        let tags: Vec<u32> = eng.world().seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(tags, vec![1, 2, 3]);
+    }
+
+    #[test]
     fn next_event_time_tracks_the_queue_head() {
         let mut eng = Engine::new(Recorder {
             seen: vec![],
