@@ -308,10 +308,8 @@ struct Elision {
     /// on a shard (whose barrier decides cross-shard deliveries sent
     /// anywhere in the window).
     receipts: Vec<(SimTime, NodeId, TxIdx)>,
-    /// Links changed by dynamics `(time, a, b)` in the current window (on
-    /// a shard; a sequential world only needs them while handling the
-    /// change).
-    link_changes: Vec<(SimTime, NodeId, NodeId)>,
+    /// Links severed or re-dialed by the dynamics event being handled.
+    link_changes: Vec<(NodeId, NodeId)>,
     /// Per registered transaction, one bit per node, set at the node's
     /// first receipt: a world-level copy of the nodes' seen sets. Sends
     /// concern recent transactions, so these rows stay cache-hot and the
@@ -357,13 +355,6 @@ impl Elision {
             .rev()
             .take_while(|&&(t, ..)| t >= since)
             .any(|&(_, n, x)| n == node && x == tx)
-    }
-
-    /// True if the `a`-`b` link changed at or after `since`.
-    fn link_changed_since(&self, since: SimTime, a: NodeId, b: NodeId) -> bool {
-        self.link_changes
-            .iter()
-            .any(|&(t, x, y)| t >= since && ((x, y) == (a, b) || (x, y) == (b, a)))
     }
 }
 
@@ -1541,7 +1532,6 @@ impl SimWorld {
             Message::Transactions(ids) => {
                 let fresh: Vec<TxIdx> = {
                     let txs = &self.txs;
-                    let node = &mut self.nodes[to.index()];
                     let resolved: Vec<(TxIdx, &Transaction)> = ids
                         .iter()
                         .filter_map(|&id| txs.idx_of(id).map(|ix| (ix, txs.by_idx(ix))))
@@ -1549,9 +1539,9 @@ impl SimWorld {
                     let fresh = resolved
                         .iter()
                         .map(|&(ix, _)| ix)
-                        .filter(|&ix| !node.has_seen_tx(ix))
+                        .filter(|&ix| !self.elision.has_seen(to, ix))
                         .collect();
-                    node.on_transactions(
+                    self.nodes[to.index()].on_transactions(
                         Some(from),
                         &resolved,
                         &self.net,
@@ -1682,37 +1672,35 @@ impl SimWorld {
     fn on_dynamics(&mut self, entry: u32, sched: &mut Scheduler<Event>) {
         self.dynamics.fired += 1;
         let (_, ev) = self.dyn_script[entry as usize];
-        let now = sched.now();
-        let logged = self.elision.link_changes.len();
         match ev {
-            DynamicsEvent::NodeDown(n) => self.node_down(n, now),
-            DynamicsEvent::NodeUp(n) => self.node_up(n, now),
+            DynamicsEvent::NodeDown(n) => self.node_down(n),
+            DynamicsEvent::NodeUp(n) => self.node_up(n),
             DynamicsEvent::LinkDown(a, b) => {
                 // Only a live link can fail; severing a parked or absent
                 // link is a no-op (the script may race node churn).
                 if self.nodes[a.index()].is_peer(b) {
-                    self.sever(a, b, now);
+                    self.sever(a, b);
                     self.dynamics.severed.push((a, b));
                 }
             }
             DynamicsEvent::LinkUp(a, b) => {
                 self.unsever(a, b);
-                self.reconnect_or_defer(a, b, now);
+                self.reconnect_or_defer(a, b);
             }
-            DynamicsEvent::Partition { a, b } => self.partition(a, b, now),
-            DynamicsEvent::Heal { a, b } => self.heal_regions(a, b, now),
+            DynamicsEvent::Partition { a, b } => self.partition(a, b),
+            DynamicsEvent::Heal { a, b } => self.heal_regions(a, b),
             DynamicsEvent::LatencyScale(f) => self.dynamics.latency_scale = f,
             DynamicsEvent::BandwidthScale(f) => self.dynamics.bandwidth_scale = f,
             DynamicsEvent::EclipsePool(p) => {
                 let gws = self.pool_states[p.index()].gateways.clone();
                 for g in gws {
-                    self.node_down(g, now);
+                    self.node_down(g);
                 }
             }
             DynamicsEvent::ReleasePool(p) => {
                 let gws = self.pool_states[p.index()].gateways.clone();
                 for g in gws {
-                    self.node_up(g, now);
+                    self.node_up(g);
                 }
             }
             DynamicsEvent::FloodStart { rate_per_sec } => {
@@ -1727,30 +1715,27 @@ impl SimWorld {
             }
             DynamicsEvent::FloodStop => self.dynamics.flood_rate = None,
         }
-        if self.elision.link_changes.len() > logged {
-            self.resurrect_changed_links(logged, sched);
+        if !self.elision.link_changes.is_empty() {
+            self.resurrect_changed_links(sched);
         }
     }
 
     /// Resurrects the elided deliveries in flight on the links this
-    /// dynamics event changed (`link_changes[logged..]`): a re-dialed
-    /// link starts with empty known-tx rows, so an arrival there is no
-    /// longer a no-op. A severed link is included too, which keeps the
-    /// rule simple for the barrier-time decision on shards (see
-    /// [`SimWorld::ingest_remotes`]). A sequential world then drops the
-    /// log; a shard keeps it until the window's barrier.
-    fn resurrect_changed_links(&mut self, logged: usize, sched: &mut Scheduler<Event>) {
-        let changes = std::mem::take(&mut self.elision.link_changes);
-        let changed = &changes[logged..];
+    /// dynamics event changed. A re-dialed link starts with empty
+    /// known-tx rows, so an arrival there is no longer a no-op. A severed
+    /// link is included too: a shard deciding a cross-shard send at the
+    /// barrier, after the severance, sees no link and keeps the delivery
+    /// real (see [`SimWorld::ingest_remotes`]), and so must the
+    /// sequential run.
+    fn resurrect_changed_links(&mut self, sched: &mut Scheduler<Event>) {
+        let mut changed = std::mem::take(&mut self.elision.link_changes);
         self.resurrect(sched, |e| {
             changed
                 .iter()
-                .any(|&(_, a, b)| (a, b) == (e.from, e.to) || (a, b) == (e.to, e.from))
+                .any(|&(a, b)| (a, b) == (e.from, e.to) || (a, b) == (e.to, e.from))
         });
-        self.elision.link_changes = changes;
-        if self.shard.is_none() {
-            self.elision.link_changes.clear();
-        }
+        changed.clear();
+        self.elision.link_changes = changed;
     }
 
     /// Injects one spam transaction of the active flood window and
@@ -1807,11 +1792,11 @@ impl SimWorld {
     }
 
     /// Tears down the `a`↔`b` link on both endpoints.
-    fn sever(&mut self, a: NodeId, b: NodeId, now: SimTime) {
+    fn sever(&mut self, a: NodeId, b: NodeId) {
         let da = self.nodes[a.index()].disconnect(b);
         let db = self.nodes[b.index()].disconnect(a);
         debug_assert_eq!(da, db, "asymmetric link {a}<->{b}");
-        self.elision.link_changes.push((now, a, b));
+        self.elision.link_changes.push((a, b));
     }
 
     /// Re-establishes the `a`↔`b` link on both endpoints. Idempotent: a
@@ -1819,10 +1804,10 @@ impl SimWorld {
     /// expected answer when scripts overlap), and a malformed runtime
     /// join surfaces as a structured [`ethmeter_net::LinkError`] instead
     /// of a panic inside a shard worker.
-    fn redial(&mut self, a: NodeId, b: NodeId, now: SimTime) {
+    fn redial(&mut self, a: NodeId, b: NodeId) {
         let _ = self.nodes[a.index()].try_add_link(b, &self.net);
         let _ = self.nodes[b.index()].try_add_link(a, &self.net);
-        self.elision.link_changes.push((now, a, b));
+        self.elision.link_changes.push((a, b));
     }
 
     /// Drops the `(a, b)` pair (either orientation) from the severed
@@ -1841,7 +1826,7 @@ impl SimWorld {
     /// Heals the `a`↔`b` link now, or — when an endpoint is itself down —
     /// parks the link on that endpoint's churn record so it comes back
     /// with the node's rejoin.
-    fn reconnect_or_defer(&mut self, a: NodeId, b: NodeId, now: SimTime) {
+    fn reconnect_or_defer(&mut self, a: NodeId, b: NodeId) {
         let park_on = if self.is_down(a) {
             Some((a, b))
         } else if self.is_down(b) {
@@ -1861,19 +1846,19 @@ impl SimWorld {
                     rec.1.push(other);
                 }
             }
-            None => self.redial(a, b, now),
+            None => self.redial(a, b),
         }
     }
 
     /// Takes `n` offline: every live link is torn down and parked on the
     /// node's churn record. Idempotent while already down.
-    fn node_down(&mut self, n: NodeId, now: SimTime) {
+    fn node_down(&mut self, n: NodeId) {
         if self.is_down(n) {
             return;
         }
         let peers: Vec<NodeId> = self.nodes[n.index()].peers().to_vec();
         for &p in &peers {
-            self.sever(n, p, now);
+            self.sever(n, p);
         }
         self.dynamics.down.push((n, peers));
     }
@@ -1883,20 +1868,20 @@ impl SimWorld {
     /// rejoin deliberately restores recorded links even across an active
     /// partition (rejoining nodes re-dial their old peer set; the
     /// deterministic, documented semantics).
-    fn node_up(&mut self, n: NodeId, now: SimTime) {
+    fn node_up(&mut self, n: NodeId) {
         let Some(pos) = self.dynamics.down.iter().position(|&(d, _)| d == n) else {
             return;
         };
         let (_, links) = self.dynamics.down.remove(pos);
         for p in links {
-            self.reconnect_or_defer(n, p, now);
+            self.reconnect_or_defer(n, p);
         }
     }
 
     /// Severs every live link between a node in region set `a` and a node
     /// in region set `b`, recording each for a later heal. Sweeps nodes
     /// in id order and handles each unordered pair once.
-    fn partition(&mut self, a: RegionMask, b: RegionMask, now: SimTime) {
+    fn partition(&mut self, a: RegionMask, b: RegionMask) {
         for i in 0..self.nodes.len() {
             let ri = self.node_meta[i].0;
             let (in_a, in_b) = (a.contains(ri), b.contains(ri));
@@ -1911,7 +1896,7 @@ impl SimWorld {
                 let rp = self.node_meta[p.index()].0;
                 if (in_a && b.contains(rp)) || (in_b && a.contains(rp)) {
                     let n = NodeId(i as u32);
-                    self.sever(n, p, now);
+                    self.sever(n, p);
                     self.dynamics.severed.push((n, p));
                 }
             }
@@ -1920,7 +1905,7 @@ impl SimWorld {
 
     /// Heals every severed link whose endpoints straddle region sets `a`
     /// and `b`, in severance order.
-    fn heal_regions(&mut self, a: RegionMask, b: RegionMask, now: SimTime) {
+    fn heal_regions(&mut self, a: RegionMask, b: RegionMask) {
         let mut to_heal = Vec::new();
         let mut i = 0;
         while i < self.dynamics.severed.len() {
@@ -1935,7 +1920,7 @@ impl SimWorld {
             }
         }
         for (x, y) in to_heal {
-            self.reconnect_or_defer(x, y, now);
+            self.reconnect_or_defer(x, y);
         }
     }
 
@@ -2025,15 +2010,15 @@ impl SimWorld {
 
     /// Schedules the window's cross-shard events (already in barrier
     /// order) against the local registries, then starts the next
-    /// window's receipt and link-change logs.
+    /// window's first-receipt log.
     ///
     /// A singleton transaction delivery is elided here, on the receiving
     /// shard, by the rule a sequential run applies at send time. This
     /// shard has run the whole window, so its state may be later than
-    /// the send. The window logs make up for that: first receipts are
-    /// checked against the send time, and a link changed after the send
-    /// keeps the delivery real. A sequential run resurrects such a
-    /// delivery at the change, so both agree.
+    /// the send. First receipts are checked against the send time in the
+    /// window's log. A link severed or re-dialed after the send has no
+    /// row or an empty one for the sender, so the delivery stays real; a
+    /// sequential run resurrects it at the change, so both agree.
     ///
     /// # Panics
     ///
@@ -2052,9 +2037,7 @@ impl SimWorld {
                     to,
                     msg: Message::Tx(id),
                     sent,
-                } if self.elidable(sent, from, to, id)
-                    && !self.elision.link_changed_since(sent, from, to) =>
-                {
+                } if self.elidable(sent, from, to, id) => {
                     let seq = sched.reserve_seq();
                     self.elide(
                         ElidedTx {
@@ -2080,7 +2063,6 @@ impl SimWorld {
             sched.at(at, event);
         }
         self.elision.receipts.clear();
-        self.elision.link_changes.clear();
     }
 
     /// Moves out the locally minted blocks, in creation order (replicas

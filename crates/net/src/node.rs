@@ -321,16 +321,10 @@ impl Node {
     /// deliveries at send time.
     #[inline]
     pub fn knows_tx_from(&self, peer: NodeId, idx: TxIdx) -> bool {
-        self.has_seen_tx(idx)
+        self.seen_txs.contains(0, idx.raw())
             && self
                 .pos_of(peer)
                 .is_some_and(|p| self.peer_known_txs.contains(p, idx.raw()))
-    }
-
-    /// True if this node has seen transaction `idx`.
-    #[inline]
-    pub fn has_seen_tx(&self, idx: TxIdx) -> bool {
-        self.seen_txs.contains(0, idx.raw())
     }
 
     /// Degree of this node.

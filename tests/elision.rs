@@ -17,19 +17,6 @@ fn contract(o: &CampaignOutcome) -> (u64, ethmeter::RunStats, u64) {
     (o.campaign.fingerprint(), o.stats, o.events)
 }
 
-#[test]
-fn static_campaigns_elide_and_keep_the_message_total() {
-    let s = Scenario::builder()
-        .preset(Preset::Tiny)
-        .seed(5)
-        .duration(SimDuration::from_mins(2))
-        .build();
-    let o = run_campaign(&s);
-    assert!(o.stats.tx_elided > 0, "{:?}", o.stats);
-    // Elided deliveries are not processed events.
-    assert!(o.events < o.stats.messages + o.stats.tx_elided);
-}
-
 thread_local! {
     /// One runner reused across every case: each case's reused run
     /// follows a different scenario's campaign on the same world.

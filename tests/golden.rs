@@ -90,8 +90,9 @@ fn fingerprint_is_reproducible_and_seed_sensitive() {
 }
 
 /// The widened contract: every row's fingerprint *and* run counters are
-/// pinned, sequentially and at 2/4/8 shards, and the sharded event count
-/// equals the sequential one. The rows past the goldens reach the
+/// pinned (plus the elided-delivery count and processed events),
+/// sequentially and at 2/4/8 shards, and the sharded event count equals
+/// the sequential one. The rows past the goldens reach the
 /// known-set eviction regime, the √-fanout relay, and a partition script.
 #[test]
 fn contract_rows_match_their_pins() {
@@ -103,14 +104,18 @@ fn contract_rows_match_their_pins() {
             sequential.campaign.fingerprint(),
             stats_pin(&sequential.stats),
         );
+        let elided = [sequential.stats.tx_elided, sequential.events];
         if bless {
-            println!("{}: fingerprint {fp:#018x}, stats {stats:?}", row.label);
+            println!(
+                "{}: fingerprint {fp:#018x}, stats {stats:?}, elided {elided:?}",
+                row.label
+            );
             continue;
         }
-        if (fp, stats) != (row.fingerprint, row.stats) {
+        if (fp, stats, elided) != (row.fingerprint, row.stats, row.elided) {
             failures.push(format!(
-                "{}: ({fp:#018x}, {stats:?}), pinned ({:#018x}, {:?})",
-                row.label, row.fingerprint, row.stats
+                "{}: ({fp:#018x}, {stats:?}, {elided:?}), pinned ({:#018x}, {:?}, {:?})",
+                row.label, row.fingerprint, row.stats, row.elided
             ));
         }
         for shards in [2, 4, 8] {
