@@ -1805,9 +1805,14 @@ impl SimWorld {
     /// join surfaces as a structured [`ethmeter_net::LinkError`] instead
     /// of a panic inside a shard worker.
     fn redial(&mut self, a: NodeId, b: NodeId) {
-        let _ = self.nodes[a.index()].try_add_link(b, &self.net);
-        let _ = self.nodes[b.index()].try_add_link(a, &self.net);
-        self.elision.link_changes.push((a, b));
+        let added_a = self.nodes[a.index()].try_add_link(b, &self.net).is_ok();
+        let added_b = self.nodes[b.index()].try_add_link(a, &self.net).is_ok();
+        // Healing a live link leaves its known-tx rows as they are, and a
+        // shard deciding a cross-shard send at the barrier sees them so:
+        // only a real re-dial may resurrect elided deliveries.
+        if added_a || added_b {
+            self.elision.link_changes.push((a, b));
+        }
     }
 
     /// Drops the `(a, b)` pair (either orientation) from the severed
@@ -2171,6 +2176,7 @@ impl World for SimWorld {
 mod tests {
     use super::*;
     use crate::scenario::{Preset, Scenario};
+    use ethmeter_dynamics::DynamicsScript;
     use ethmeter_sim::Engine;
 
     fn tiny_world() -> (Scenario, SimWorld) {
@@ -2261,6 +2267,40 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce the identical run");
         let c = run(8);
         assert_ne!(a.1, c.1, "different seeds diverge");
+    }
+
+    #[test]
+    fn healing_a_live_link_keeps_its_elided_deliveries() {
+        let scenario = |script: DynamicsScript| {
+            Scenario::builder()
+                .preset(Preset::Tiny)
+                .seed(4)
+                .duration(SimDuration::from_secs(30))
+                .tx_rate(3.0)
+                .dynamics(script)
+                .build()
+        };
+        // Find an instant `t` with an elided delivery still in flight.
+        let mut world = SimWorld::new(&scenario(DynamicsScript::new()));
+        let initial = world.initial_events();
+        let mut engine = Engine::new(world);
+        for (at, e) in initial {
+            engine.schedule(at, e);
+        }
+        let (t, e) = (1..3000u64)
+            .find_map(|ms| {
+                let t = SimTime::ZERO + SimDuration::from_millis(5_000 + 10 * ms);
+                engine.run_until(t);
+                let in_flight = &engine.world().elision.in_flight;
+                in_flight.iter().find(|e| e.at > t).map(|&e| (t, e))
+            })
+            .expect("an elided delivery in flight");
+        // A heal of that (live) link at `t` changes no known-tx row, so
+        // the delivery stays elided: same counters as without the script.
+        let heal = DynamicsScript::new().at(t, DynamicsEvent::LinkUp(e.from, e.to));
+        let healed = crate::runner::run_campaign(&scenario(heal)).stats;
+        let plain = crate::runner::run_campaign(&scenario(DynamicsScript::new())).stats;
+        assert_eq!(healed, plain);
     }
 
     #[test]
