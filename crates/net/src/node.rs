@@ -317,8 +317,8 @@ impl Node {
     /// nothing: this node has already seen the transaction and its
     /// known-tx row for `peer` already marks it (both inserts of
     /// [`Node::on_transactions`] would be no-ops). False when `peer` is
-    /// not linked. Read-only; the driver uses it to resolve redundant
-    /// deliveries at send time.
+    /// not linked. Read-only; the simulation world uses it to resolve
+    /// redundant deliveries at send time.
     #[inline]
     pub fn knows_tx_from(&self, peer: NodeId, idx: TxIdx) -> bool {
         self.seen_txs.contains(0, idx.raw())
